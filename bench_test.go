@@ -139,30 +139,35 @@ func BenchmarkFloodKernels(b *testing.B) {
 // pinning the serial reference engine against the allocation-free parallel
 // arena engine on the same networks. Both produce bit-identical results
 // (the engine-parity tests enforce it); the gap is pure simulator cost.
+//
+// Each size builds and extracts its network inside its own sub-benchmark,
+// so a -bench filter for one size pays for that size's set-up only.
 func BenchmarkProtocolPhases(b *testing.B) {
 	for _, n := range []int{2592, 10368} {
-		net, err := BuildNetwork(NetworkSpec{
-			Shape: MustShape("window"), N: n, TargetDeg: 7, Seed: 1, Layout: LayoutGrid,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err := net.Extract(DefaultParams())
-		if err != nil {
-			b.Fatal(err)
-		}
-		k, l, scope, alpha := res.EffectiveK, res.Params.L, res.EffectiveScope, res.Params.Alpha
-		for _, eng := range []SimEngine{SimEngineSerial, SimEngineParallel} {
-			b.Run(fmt.Sprintf("n=%d/%v", n, eng), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := RunProtocolPhasesObs(net, k, l, scope, alpha,
-						ProtocolOptions{Engine: eng}); err != nil {
-						b.Fatal(err)
-					}
-				}
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			net, err := BuildNetwork(NetworkSpec{
+				Shape: MustShape("window"), N: n, TargetDeg: 7, Seed: 1, Layout: LayoutGrid,
 			})
-		}
+			if err != nil {
+				b.Fatal(err)
+			}
+			res, err := net.Extract(DefaultParams())
+			if err != nil {
+				b.Fatal(err)
+			}
+			k, l, scope, alpha := res.EffectiveK, res.Params.L, res.EffectiveScope, res.Params.Alpha
+			for _, eng := range []SimEngine{SimEngineSerial, SimEngineParallel} {
+				b.Run(eng.String(), func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						if _, err := RunProtocolPhasesObs(net, k, l, scope, alpha,
+							ProtocolOptions{Engine: eng}); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
+			}
+		})
 	}
 }
 

@@ -32,11 +32,13 @@ import (
 
 // DefaultPackages are the hot-path packages the allocation budget covers:
 // the chunk-parallel graph engine, the staged extractor, the simnet round
-// engine, and the observability plane that instruments all three.
+// engine and the protocol programs it steps, and the observability plane
+// that instruments them.
 var DefaultPackages = []string{
 	"internal/graph",
 	"internal/core",
 	"internal/simnet",
+	"internal/protocol",
 	"internal/obs",
 }
 

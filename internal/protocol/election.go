@@ -33,8 +33,7 @@ type electionProgram struct {
 	scope int32
 	own   claim
 	best  claim
-	hops  int32     // smallest hop counter the best claim arrived with
-	buf   [2]uint64 // scratch: kindClaim wire form
+	hops  int32 // smallest hop counter the best claim arrived with
 }
 
 var _ simnet.Program = (*electionProgram)(nil)
@@ -42,24 +41,17 @@ var _ simnet.Program = (*electionProgram)(nil)
 func (p *electionProgram) Init(ctx *simnet.Context) {
 	p.best = p.own
 	p.hops = 0
-	p.buf[0], p.buf[1] = packClaim(claim{ID: p.own.ID, Index: p.own.Index, Hops: 1})
-	ctx.BroadcastPacked(kindClaim, p.buf[:])
+	broadcastClaim(ctx, claim{ID: p.own.ID, Index: p.own.Index, Hops: 1})
 }
 
 func (p *electionProgram) Step(ctx *simnet.Context, inbox []simnet.Envelope) {
 	improved := false
 	for _, env := range inbox {
-		var c claim
-		if kind, ws, ok := env.Packed(); ok {
-			if kind != kindClaim || len(ws) != 2 {
-				continue
-			}
-			c = unpackClaim(ws[0], ws[1])
-		} else if gc, ok := env.Payload.(claim); ok {
-			c = gc
-		} else {
+		kind, ws, _ := env.Packed()
+		if kind != kindClaim || len(ws) != 2 {
 			continue
 		}
+		c := unpackClaim(ws[0], ws[1])
 		switch {
 		case c.beats(p.best):
 			p.best, p.hops = c, c.Hops
@@ -72,9 +64,16 @@ func (p *electionProgram) Step(ctx *simnet.Context, inbox []simnet.Envelope) {
 		}
 	}
 	if improved && p.hops < p.scope {
-		p.buf[0], p.buf[1] = packClaim(claim{ID: p.best.ID, Index: p.best.Index, Hops: p.hops + 1})
-		ctx.BroadcastPacked(kindClaim, p.buf[:])
+		broadcastClaim(ctx, claim{ID: p.best.ID, Index: p.best.Index, Hops: p.hops + 1})
 	}
+}
+
+// broadcastClaim transmits c in its kindClaim wire form.
+func broadcastClaim(ctx *simnet.Context, c claim) {
+	out := ctx.Scratch()
+	w0, w1 := packClaim(c)
+	*out = append(*out, w0, w1)
+	ctx.BroadcastPacked(kindClaim, *out)
 }
 
 // isSite reports whether the node's own claim survived.
@@ -82,14 +81,14 @@ func (p *electionProgram) isSite() bool { return p.best.ID == p.own.ID }
 
 // runElection executes the site election phase.
 func runElection(g *graph.Graph, scope int, index []float64, po phaseOpts) ([]int32, simnet.Stats, error) {
+	nodes := make([]electionProgram, g.N())
 	programs := make([]simnet.Program, g.N())
-	nodes := make([]*electionProgram, g.N())
-	for v := range programs {
-		nodes[v] = &electionProgram{
+	for v := range nodes {
+		nodes[v] = electionProgram{
 			scope: int32(scope),
 			own:   claim{ID: int32(v), Index: index[v]},
 		}
-		programs[v] = nodes[v]
+		programs[v] = &nodes[v]
 	}
 	sim, err := simnet.New(g, programs)
 	if err != nil {
@@ -101,8 +100,8 @@ func runElection(g *graph.Graph, scope int, index []float64, po phaseOpts) ([]in
 		return nil, stats, err
 	}
 	var sites []int32
-	for v, p := range nodes {
-		if p.isSite() {
+	for v := range nodes {
+		if nodes[v].isSite() {
 			sites = append(sites, int32(v))
 		}
 	}

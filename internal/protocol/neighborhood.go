@@ -5,111 +5,91 @@ import (
 	"bfskel/internal/simnet"
 )
 
-// idHop is one flooded node identity with the hop count it has traveled —
-// the "counter" of the paper's controlled-flooding description. Carrying
-// the counter in the payload (rather than inferring distance from delivery
-// rounds) keeps the protocol correct when message timing is not uniform.
-type idHop struct {
-	ID   int32
-	Hops int32
-}
-
-// idBatch is one transmission's set of newly learned identities (the
-// generic-payload form; the program itself transmits kindIDBatch packed
-// words but still accepts this shape on receive).
-type idBatch struct {
-	Entries []idHop
-}
-
 // neighborhoodProgram learns the node's K-hop neighborhood by controlled
 // flooding (paper Sec. III-A, first round of flooding): each entry carries
-// its hop counter; a node records unknown IDs and re-forwards them while
-// the counter is below K, batching everything learned in one step into a
-// single transmission. Batches travel as kindIDBatch packed words — one
-// word per (ID, hops) entry — and the dedup table is a flatmap, so a step
-// allocates only when the table grows.
+// its hop counter — the "counter" of the paper's description, carried in
+// the payload rather than inferred from delivery rounds so the protocol
+// stays correct when message timing is not uniform. A node records unknown
+// IDs and re-forwards them while the counter is below K, batching
+// everything learned in one step into a single transmission. Batches
+// travel as kindIDBatch packed words — one word per (ID, hops) entry —
+// built in the engine's scratch buffer, and the dedup table is a flatmap,
+// so a step allocates only when the table grows.
 type neighborhoodProgram struct {
 	k     int32
-	known flatmap[int32] // ID -> smallest hop counter heard
-	words []uint64       // scratch: this step's re-forward batch
+	known flatmap // ID -> smallest hop counter heard
 }
 
 var _ simnet.Program = (*neighborhoodProgram)(nil)
 
 func (p *neighborhoodProgram) Init(ctx *simnet.Context) {
-	// Geometric estimate of |N_k|: a k-hop disk holds about degree * k^2
-	// nodes on a roughly uniform deployment.
-	p.known.reserve(ctx.Degree() * int(p.k) * int(p.k))
-	p.known.put(int32(ctx.ID()), 0)
-	p.words = make([]uint64, 0, 64) // one alloc up front beats append growth
-	p.words = append(p.words, packPair(int32(ctx.ID()), 1))
-	ctx.BroadcastPacked(kindIDBatch, p.words)
+	p.known.reserve(reachSize(ctx.Degree(), int(p.k)))
+	self, _ := p.known.upsert(int32(ctx.ID()))
+	self.hops = 0
+	out := ctx.Scratch()
+	*out = append(*out, packPair(int32(ctx.ID()), 1))
+	ctx.BroadcastPacked(kindIDBatch, *out)
 }
 
 func (p *neighborhoodProgram) Step(ctx *simnet.Context, inbox []simnet.Envelope) {
-	p.words = p.words[:0]
+	out := ctx.Scratch()
 	for _, env := range inbox {
-		if kind, ws, ok := env.Packed(); ok {
-			if kind != kindIDBatch {
-				continue
-			}
-			for _, w := range ws {
-				id, hops := unpackPair(w)
-				p.learn(id, hops)
-			}
+		kind, ws, _ := env.Packed()
+		if kind != kindIDBatch {
 			continue
 		}
-		batch, ok := env.Payload.(idBatch)
-		if !ok {
-			continue
-		}
-		for _, e := range batch.Entries {
-			p.learn(e.ID, e.Hops)
+		for _, w := range ws {
+			id, hops := unpackPair(w)
+			p.learn(out, id, hops)
 		}
 	}
-	if len(p.words) > 0 {
-		ctx.BroadcastPacked(kindIDBatch, p.words)
+	if len(*out) > 0 {
+		ctx.BroadcastPacked(kindIDBatch, *out)
 	}
 }
 
-// learn records the smallest hop counter per ID and queues the entry for
-// re-forwarding while it is still inside the K-hop horizon. Under message
-// jitter an identity can first arrive via a longer route, and the shorter
-// one must still be re-forwarded so fringe nodes within the horizon are not
-// missed.
-func (p *neighborhoodProgram) learn(id, hops int32) {
-	if prev, seen := p.known.get(id); seen && prev <= hops {
+// learn records the smallest hop counter per ID and queues the entry on out
+// for re-forwarding while it is still inside the K-hop horizon. Under
+// message jitter an identity can first arrive via a longer route, and the
+// shorter one must still be re-forwarded so fringe nodes within the horizon
+// are not missed.
+func (p *neighborhoodProgram) learn(out *[]uint64, id, hops int32) {
+	s, fresh := p.known.upsert(id)
+	if !fresh && s.hops <= hops {
 		return
 	}
-	p.known.put(id, hops)
+	s.hops = hops
 	if hops < p.k {
-		p.words = append(p.words, packPair(id, hops+1))
+		*out = append(*out, packPair(id, hops+1))
 	}
 }
 
 // size returns |N_k| (the node itself excluded).
 func (p *neighborhoodProgram) size() int { return p.known.len() - 1 }
 
-// runNeighborhood executes the K-hop discovery phase.
-func runNeighborhood(g *graph.Graph, k int, po phaseOpts) ([]int, simnet.Stats, error) {
+// runNeighborhood executes the K-hop discovery phase. Besides the sizes it
+// returns each node's dedup table, for the centrality phase to take over.
+func runNeighborhood(g *graph.Graph, k int, po phaseOpts) ([]int, []flatmap, simnet.Stats, error) {
+	nodes := make([]neighborhoodProgram, g.N())
 	programs := make([]simnet.Program, g.N())
-	nodes := make([]*neighborhoodProgram, g.N())
-	for v := range programs {
-		nodes[v] = &neighborhoodProgram{k: int32(k)}
-		programs[v] = nodes[v]
+	for v := range nodes {
+		nodes[v].k = int32(k)
+		programs[v] = &nodes[v]
 	}
 	sim, err := simnet.New(g, programs)
 	if err != nil {
-		return nil, simnet.Stats{}, err
+		return nil, nil, simnet.Stats{}, err
 	}
 	po.configure(sim)
 	stats, err := sim.Run()
 	if err != nil {
-		return nil, stats, err
+		return nil, nil, stats, err
 	}
 	khop := make([]int, g.N())
-	for v, p := range nodes {
-		khop[v] = p.size()
+	tables := make([]flatmap, g.N())
+	for v := range nodes {
+		khop[v] = nodes[v].size()
+		tables[v] = nodes[v].known
 	}
-	return khop, stats, nil
+	return khop, tables, stats, nil
 }

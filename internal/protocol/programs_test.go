@@ -17,7 +17,7 @@ func pathGraph(n int) *graph.Graph {
 
 func TestRunNeighborhoodPath(t *testing.T) {
 	g := pathGraph(8)
-	khop, stats, err := runNeighborhood(g, 2, phaseOpts{})
+	khop, _, stats, err := runNeighborhood(g, 2, phaseOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func TestRunNeighborhoodPath(t *testing.T) {
 func TestRunCentralityPath(t *testing.T) {
 	g := pathGraph(5)
 	khop := []int{1, 2, 3, 4, 5} // synthetic sizes for checkable averages
-	cent, index, _, err := runCentrality(g, 1, khop, phaseOpts{})
+	cent, index, _, err := runCentrality(g, 1, khop, nil, phaseOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,6 +48,38 @@ func TestRunCentralityPath(t *testing.T) {
 		}
 		if index[v] != (float64(khop[v])+cent[v])/2 {
 			t.Errorf("index[%d] broken", v)
+		}
+	}
+}
+
+// TestCentralityTableHandoff runs the centrality phase on the emptied K-hop
+// tables of the neighborhood phase and on fresh tables: the outputs must
+// agree whether L is below K (the tables fit as they are), equal to it, or
+// above it (the tables grow).
+func TestCentralityTableHandoff(t *testing.T) {
+	g := pathGraph(40)
+	const k = 3
+	khop, tables, _, err := runNeighborhood(g, k, phaseOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, l := range []int{1, k, k + 4} {
+		wantCent, wantIndex, _, err := runCentrality(g, l, khop, nil, phaseOpts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Each pass takes over copies of the tables' headers, so the next
+		// pass starts from the same slot arrays again.
+		handed := append([]flatmap(nil), tables...)
+		cent, index, _, err := runCentrality(g, l, khop, handed, phaseOpts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for v := range cent {
+			if cent[v] != wantCent[v] || index[v] != wantIndex[v] {
+				t.Fatalf("l=%d node %d: handed-over tables give (%v, %v), fresh tables (%v, %v)",
+					l, v, cent[v], index[v], wantCent[v], wantIndex[v])
+			}
 		}
 	}
 }

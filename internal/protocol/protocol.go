@@ -183,14 +183,18 @@ func RunOpts(g *graph.Graph, k, l, scope int, alpha int32, opts Options) (*Resul
 		return nil
 	}
 
+	// The neighborhood phase's per-node tables pass to the centrality
+	// phase, which empties and reuses them.
+	var tables []flatmap
 	err := phase(0, func(po phaseOpts) (simnet.Stats, error) {
-		khop, stats, err := runNeighborhood(g, k, po)
-		res.KHop = khop
+		khop, tabs, stats, err := runNeighborhood(g, k, po)
+		res.KHop, tables = khop, tabs
 		return stats, err
 	})
 	if err == nil {
 		err = phase(1, func(po phaseOpts) (simnet.Stats, error) {
-			cent, index, stats, err := runCentrality(g, l, res.KHop, po)
+			cent, index, stats, err := runCentrality(g, l, res.KHop, tables, po)
+			tables = nil
 			res.Cent, res.Index = cent, index
 			return stats, err
 		})

@@ -6,19 +6,6 @@ import (
 	"bfskel/internal/simnet"
 )
 
-// siteAnnounce carries one site's flood wavefront with its hop counter.
-type siteAnnounce struct {
-	Site int32
-	Dist int32
-}
-
-// voronoiBatch is one transmission's set of new or improved site records
-// (the generic-payload form; the program transmits kindVoronoiBatch packed
-// words but still accepts this shape on receive).
-type voronoiBatch struct {
-	Entries []siteAnnounce
-}
-
 // voronoiProgram implements the Voronoi cell construction (paper
 // Sec. III-B): the sites flood simultaneously; every node keeps its nearest
 // site(s), records any site whose distance is within Alpha of the nearest,
@@ -29,64 +16,49 @@ type voronoiBatch struct {
 // when the nearest distance shrinks, records that fall out of the Alpha
 // window are dropped.
 // Batches travel as kindVoronoiBatch packed words — one word per
-// (site, dist) entry.
+// (site, dist) entry — built in the engine's scratch buffer. The records
+// are kept in their output form, so runVoronoi hands them over uncopied.
 type voronoiProgram struct {
 	alpha   int32
 	site    bool
 	dmin    int32
-	records []record
-	words   []uint64 // scratch: this step's re-forward batch
-}
-
-// record is a recorded site with its distance and reverse-path parent.
-type record struct {
-	site   int32
-	dist   int32
-	parent int32
+	records []core.SiteDist // recorded sites with distance and reverse-path parent
 }
 
 var _ simnet.Program = (*voronoiProgram)(nil)
 
 func (p *voronoiProgram) Init(ctx *simnet.Context) {
 	p.dmin = -1
-	p.words = make([]uint64, 0, 16) // one alloc up front beats append growth
 	if p.site {
 		p.dmin = 0
-		p.records = append(p.records, record{site: int32(ctx.ID()), dist: 0, parent: int32(ctx.ID())})
-		p.words = append(p.words[:0], packPair(int32(ctx.ID()), 0))
-		ctx.BroadcastPacked(kindVoronoiBatch, p.words)
+		p.records = append(p.records, core.SiteDist{Site: int32(ctx.ID()), D: 0, Parent: int32(ctx.ID())})
+		out := ctx.Scratch()
+		*out = append(*out, packPair(int32(ctx.ID()), 0))
+		ctx.BroadcastPacked(kindVoronoiBatch, *out)
 	}
 }
 
 func (p *voronoiProgram) Step(ctx *simnet.Context, inbox []simnet.Envelope) {
-	p.words = p.words[:0]
+	out := ctx.Scratch()
 	for _, env := range inbox {
-		if kind, ws, ok := env.Packed(); ok {
-			if kind != kindVoronoiBatch {
-				continue
-			}
-			for _, w := range ws {
-				site, dist := unpackPair(w)
-				p.learn(site, dist, int32(env.From))
-			}
+		kind, ws, _ := env.Packed()
+		if kind != kindVoronoiBatch {
 			continue
 		}
-		batch, ok := env.Payload.(voronoiBatch)
-		if !ok {
-			continue
-		}
-		for _, a := range batch.Entries {
-			p.learn(a.Site, a.Dist, int32(env.From))
+		for _, w := range ws {
+			site, dist := unpackPair(w)
+			p.learn(out, site, dist, int32(env.From))
 		}
 	}
-	if len(p.words) > 0 {
-		ctx.BroadcastPacked(kindVoronoiBatch, p.words)
+	if len(*out) > 0 {
+		ctx.BroadcastPacked(kindVoronoiBatch, *out)
 	}
 }
 
 // learn applies the Alpha-window accept/drop rule to one announced (site,
-// dist) wavefront entry and queues accepted entries for re-forwarding.
-func (p *voronoiProgram) learn(site, dist, from int32) {
+// dist) wavefront entry and queues accepted entries on out for
+// re-forwarding.
+func (p *voronoiProgram) learn(out *[]uint64, site, dist, from int32) {
 	d := dist + 1
 	if p.dmin != -1 && d > p.dmin+p.alpha {
 		return
@@ -98,24 +70,24 @@ func (p *voronoiProgram) learn(site, dist, from int32) {
 		p.dmin = d
 		p.dropStale()
 	}
-	p.words = append(p.words, packPair(site, d))
+	*out = append(*out, packPair(site, d))
 }
 
 // accept records or improves the (site, dist) entry; it reports whether the
 // entry was new or shorter than what was known.
 func (p *voronoiProgram) accept(site, dist, parent int32) bool {
 	for i := range p.records {
-		if p.records[i].site != site {
+		if p.records[i].Site != site {
 			continue
 		}
-		if p.records[i].dist <= dist {
+		if p.records[i].D <= dist {
 			return false
 		}
-		p.records[i].dist = dist
-		p.records[i].parent = parent
+		p.records[i].D = dist
+		p.records[i].Parent = parent
 		return true
 	}
-	p.records = append(p.records, record{site: site, dist: dist, parent: parent})
+	p.records = append(p.records, core.SiteDist{Site: site, D: dist, Parent: parent})
 	return true
 }
 
@@ -123,7 +95,7 @@ func (p *voronoiProgram) accept(site, dist, parent int32) bool {
 func (p *voronoiProgram) dropStale() {
 	kept := p.records[:0]
 	for _, r := range p.records {
-		if r.dist <= p.dmin+p.alpha {
+		if r.D <= p.dmin+p.alpha {
 			kept = append(kept, r)
 		}
 	}
@@ -136,11 +108,11 @@ func runVoronoi(g *graph.Graph, sites []int32, alpha int32, po phaseOpts) ([][]c
 	for _, s := range sites {
 		isSite[s] = true
 	}
+	nodes := make([]voronoiProgram, g.N())
 	programs := make([]simnet.Program, g.N())
-	nodes := make([]*voronoiProgram, g.N())
-	for v := range programs {
-		nodes[v] = &voronoiProgram{alpha: alpha, site: isSite[v]}
-		programs[v] = nodes[v]
+	for v := range nodes {
+		nodes[v] = voronoiProgram{alpha: alpha, site: isSite[v]}
+		programs[v] = &nodes[v]
 	}
 	sim, err := simnet.New(g, programs)
 	if err != nil {
@@ -152,9 +124,9 @@ func runVoronoi(g *graph.Graph, sites []int32, alpha int32, po phaseOpts) ([][]c
 		return nil, stats, err
 	}
 	records := make([][]core.SiteDist, g.N())
-	for v, p := range nodes {
-		for _, r := range p.records {
-			records[v] = append(records[v], core.SiteDist{Site: r.site, D: r.dist, Parent: r.parent})
+	for v := range nodes {
+		if len(nodes[v].records) > 0 {
+			records[v] = nodes[v].records
 		}
 	}
 	return records, stats, nil

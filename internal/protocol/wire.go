@@ -13,9 +13,10 @@ import "math"
 // so a pair packs losslessly into one word as high<<32 | low. Election
 // indexes are float64 and ride math.Float64bits, which is exact.
 //
-// The generic struct payloads remain supported by every program's Step as a
-// fallback (the simnet API keeps the any-payload path for external
-// programs); the packed kinds below are what the built-in phases emit.
+// The programs build each batch in the engine's scratch buffer
+// (simnet.Context.Scratch) and read only the packed kinds below; simnet's
+// generic any-payload path stays for other programs, and the phases skip
+// any message that is not of their own kind.
 const (
 	// kindIDBatch: K-hop discovery. One word per entry: ID<<32 | hops.
 	kindIDBatch uint8 = 1

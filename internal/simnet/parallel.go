@@ -52,6 +52,9 @@ type parWorker struct {
 	// words is the current round's packed-word buffer, one slot of ring.
 	words []uint64
 	ring  [][]uint64
+	// scratch backs Context.Scratch for the nodes this worker steps; the
+	// engine pool keeps its grown capacity across runs.
+	scratch []uint64
 }
 
 func (w *parWorker) push(op sendOp) {

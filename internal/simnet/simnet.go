@@ -93,7 +93,7 @@ func (c *Context) Send(to int, payload any) {
 // SendPacked is Send on the typed fast path: the message body is a
 // protocol-defined kind tag plus packed words. The engine copies the words
 // before returning, so the caller may reuse the backing slice immediately
-// (the idiom is a per-program scratch buffer refilled every Step).
+// (the idiom is a batch built in Scratch and refilled every Step).
 func (c *Context) SendPacked(to int, kind uint8, words []uint64) {
 	if !c.sim.g.HasEdge(c.node, to) {
 		panic(fmt.Sprintf("simnet: node %d sent to non-neighbor %d", c.node, to))
@@ -108,6 +108,21 @@ func (c *Context) SendPacked(to int, kind uint8, words []uint64) {
 		c.sim.stats.Messages++
 	}
 	c.sim.noteSend(c.node)
+}
+
+// Scratch returns the engine-owned word buffer for building a packed batch,
+// emptied. Programs append their records to *buf and hand *buf to
+// SendPacked/BroadcastPacked, which copy the words out, so one buffer serves
+// every node a goroutine steps: the parallel engine keeps one per worker,
+// the serial engine one per Sim. Capacity grown by append persists to the
+// next Step. The buffer is valid only until the Init or Step call returns.
+func (c *Context) Scratch() *[]uint64 {
+	buf := &c.sim.scratch
+	if c.w != nil {
+		buf = &c.w.scratch
+	}
+	*buf = (*buf)[:0]
+	return buf
 }
 
 // Broadcast queues the payload to every neighbor as a single wireless
@@ -212,6 +227,8 @@ type Sim struct {
 	inboxes  [][]Envelope
 	pending  map[int][]delivery
 	inFlight int
+	// scratch backs Context.Scratch on the serial engine.
+	scratch []uint64
 
 	// MaxRounds bounds the simulation; 0 means 4*N + 64 rounds, generous
 	// for any flood-based protocol on a connected graph.
